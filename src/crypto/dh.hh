@@ -6,27 +6,35 @@
  * and expand it into AES + HMAC session keys.
  *
  * Simulation-strength parameters: the group modulus is the 256-bit
- * secp256k1 field prime with generator 5. Swap kGroupPrimeHex for an
+ * secp256k1 field prime with generator 5 (field.hh). Swap in an
  * RFC 3526 group in a production port.
  */
 #ifndef VEIL_CRYPTO_DH_HH_
 #define VEIL_CRYPTO_DH_HH_
 
-#include "crypto/bignum.hh"
 #include "crypto/drbg.hh"
+#include "crypto/field.hh"
 
 namespace veil::crypto {
 
-/** 256-bit prime modulus (secp256k1 field prime). */
-extern const char kGroupPrimeHex[];
+/**
+ * Sample a private exponent 2 <= x < p-1: 32-byte big-endian DRBG
+ * draws, rejecting out-of-range values. Shared by DH and Schnorr keys
+ * and the Schnorr nonce.
+ */
+U256 sampleExponent(HmacDrbg &drbg);
 
-/** Group generator. */
-constexpr uint32_t kGroupGenerator = 5;
+/**
+ * Parse a peer's big-endian group element, accepting only the live
+ * range 2 <= v <= p-2: 0 and 1 are degenerate, p-1 has order 2, and
+ * p and above are out of range.
+ */
+std::optional<U256> parseGroupElement(const Bytes &be);
 
 /** One party's DH key pair. */
 struct DhKeyPair
 {
-    BigInt secret;  ///< private exponent (256 bits)
+    U256 secret;     ///< private exponent (256 bits)
     Bytes publicKey; ///< g^secret mod p, big-endian, 32 bytes
 };
 
@@ -41,7 +49,7 @@ struct SessionKeys
 DhKeyPair dhGenerate(HmacDrbg &drbg);
 
 /** Compute the 32-byte shared secret from our secret and their public. */
-Bytes dhSharedSecret(const BigInt &secret, const Bytes &their_public);
+Bytes dhSharedSecret(const U256 &secret, const Bytes &their_public);
 
 /** HKDF-like expansion of the shared secret into session keys. */
 SessionKeys deriveSessionKeys(const Bytes &shared_secret);

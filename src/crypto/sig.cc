@@ -30,7 +30,7 @@ verifyDigest(const Bytes &key, const std::string &domain, const Digest &digest,
 
 // ---- Schnorr over the dh.hh group ----
 //
-// Group: Z_p^* with p the dh.hh 256-bit prime and generator g. The
+// Group: Z_p^* with p the field.hh 256-bit prime and generator g. The
 // exponent ring is Z_{p-1} (composite order — simulation strength, per
 // the dh.hh parameter note). Sign:
 //   k   <- deterministic nonce in [2, p-2]
@@ -41,21 +41,7 @@ verifyDigest(const Bytes &key, const std::string &domain, const Digest &digest,
 
 namespace {
 
-const BigInt &
-schnorrPrime()
-{
-    static const BigInt p = BigInt::fromHex(kGroupPrimeHex);
-    return p;
-}
-
-const BigInt &
-schnorrOrder()
-{
-    static const BigInt q = BigInt::sub(schnorrPrime(), BigInt(1));
-    return q;
-}
-
-BigInt
+U256
 challenge(const std::string &domain, const Bytes &r, const Bytes &y,
           const Digest &digest)
 {
@@ -67,17 +53,7 @@ challenge(const std::string &domain, const Bytes &r, const Bytes &y,
     h.update(y.data(), y.size());
     h.update(digest.data(), digest.size());
     Digest e = h.finish();
-    Bytes eb(e.begin(), e.end());
-    return BigInt::mod(BigInt::fromBytes(eb), schnorrOrder());
-}
-
-/** Group-element range check: 2 <= v <= p-2 (rejects the degenerate
- *  order-1/order-2 elements 0, 1 and p-1, mirroring dhSharedSecret). */
-bool
-elementInRange(const BigInt &v)
-{
-    return BigInt::cmp(v, BigInt(1)) > 0 &&
-           BigInt::cmp(v, BigInt::sub(schnorrPrime(), BigInt(1))) < 0;
+    return kExponentRing.reduce(*U256::fromBytes(e.data(), e.size()));
 }
 
 } // namespace
@@ -85,18 +61,9 @@ elementInRange(const BigInt &v)
 AsymKeyPair
 asymGenerate(HmacDrbg &drbg)
 {
-    const BigInt &p = schnorrPrime();
     AsymKeyPair kp;
-    for (;;) {
-        Bytes raw = drbg.generate(32);
-        kp.secret = BigInt::fromBytes(raw);
-        if (BigInt::cmp(kp.secret, BigInt(2)) >= 0 &&
-            BigInt::cmp(kp.secret, BigInt::sub(p, BigInt(1))) < 0) {
-            break;
-        }
-    }
-    kp.publicKey =
-        BigInt::modExp(BigInt(kGroupGenerator), kp.secret, p).toBytes(32);
+    kp.secret = sampleExponent(drbg);
+    kp.publicKey = generatorPow(kp.secret).toBytes();
     return kp;
 }
 
@@ -104,30 +71,19 @@ AsymSignature
 asymSign(const AsymKeyPair &key, const std::string &domain,
          const Digest &digest)
 {
-    const BigInt &p = schnorrPrime();
-    const BigInt &q = schnorrOrder();
-
     // Deterministic nonce: DRBG over (secret || domain || digest).
-    Bytes seed = key.secret.toBytes(32);
+    Bytes seed = key.secret.toBytes();
     appendBytes(seed, domain.data(), domain.size());
     appendBytes(seed, digest.data(), digest.size());
     HmacDrbg drbg(seed);
-    BigInt k;
-    for (;;) {
-        Bytes raw = drbg.generate(32);
-        k = BigInt::fromBytes(raw);
-        if (BigInt::cmp(k, BigInt(2)) >= 0 &&
-            BigInt::cmp(k, BigInt::sub(p, BigInt(1))) < 0) {
-            break;
-        }
-    }
+    U256 k = sampleExponent(drbg);
 
-    Bytes r = BigInt::modExp(BigInt(kGroupGenerator), k, p).toBytes(32);
-    BigInt e = challenge(domain, r, key.publicKey, digest);
-    BigInt s = BigInt::mod(BigInt::add(k, BigInt::mul(e, key.secret)), q);
+    Bytes r = generatorPow(k).toBytes();
+    U256 e = challenge(domain, r, key.publicKey, digest);
+    U256 s = kExponentRing.add(k, kExponentRing.mul(e, key.secret));
 
     AsymSignature sig{};
-    Bytes sb = s.toBytes(32);
+    Bytes sb = s.toBytes();
     std::copy(r.begin(), r.end(), sig.begin());
     std::copy(sb.begin(), sb.end(), sig.begin() + 32);
     return sig;
@@ -137,27 +93,25 @@ bool
 asymVerify(const Bytes &public_key, const std::string &domain,
            const Digest &digest, const AsymSignature &sig)
 {
-    const BigInt &p = schnorrPrime();
     if (public_key.size() != 32)
         return false;
-    BigInt y = BigInt::fromBytes(public_key);
-    if (!elementInRange(y))
+    std::optional<U256> y = parseGroupElement(public_key);
+    if (!y)
         return false;
 
     Bytes rb(sig.begin(), sig.begin() + 32);
-    Bytes sb(sig.begin() + 32, sig.end());
-    BigInt r = BigInt::fromBytes(rb);
-    BigInt s = BigInt::fromBytes(sb);
+    U256 r = *U256::fromBytes(sig.data(), 32);
+    U256 s = *U256::fromBytes(sig.data() + 32, 32);
     // r must be a live group element; s is an exponent mod p-1 (reject
     // the non-canonical high range to keep signatures non-malleable).
-    if (r.isZero() || BigInt::cmp(r, p) >= 0)
+    if (r == U256{} || !(r < kGroupField.modulus()))
         return false;
-    if (BigInt::cmp(s, schnorrOrder()) >= 0)
+    if (!(s < kExponentRing.modulus()))
         return false;
 
-    BigInt e = challenge(domain, rb, public_key, digest);
-    BigInt lhs = BigInt::modExp(BigInt(kGroupGenerator), s, p);
-    BigInt rhs = BigInt::mod(BigInt::mul(r, BigInt::modExp(y, e, p)), p);
+    U256 e = challenge(domain, rb, public_key, digest);
+    U256 lhs = generatorPow(s);
+    U256 rhs = kGroupField.mul(r, kGroupField.pow(*y, e));
     return lhs == rhs;
 }
 

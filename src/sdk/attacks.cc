@@ -764,12 +764,10 @@ runAttestationAttacks()
         "Relay substitutes a degenerate DH public key",
         "Monitor rejects pub <= 1 and pub >= p-1",
         [](VeilVm &vm, Kernel &k, Process &, std::string &detail) {
-            // pub = p-1 confines the shared secret to {1, p-1}: the
-            // relay would know the session keys without breaking DH.
-            crypto::BigInt p =
-                crypto::BigInt::fromHex(crypto::kGroupPrimeHex);
-            Bytes evil =
-                crypto::BigInt::sub(p, crypto::BigInt(1)).toBytes(32);
+            // pub = p-1 (the exponent ring's modulus) confines the
+            // shared secret to {1, p-1}: the relay would know the
+            // session keys without breaking DH.
+            Bytes evil = crypto::kExponentRing.modulus().toBytes();
             core::ChannelResponse resp{};
             uint64_t st = rawEstablish(k, evil, resp);
             bool keyed = vm.monitor().sessionActive();

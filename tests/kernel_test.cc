@@ -1,8 +1,9 @@
 /**
  * @file
  * Kernel-layer unit tests: ramfs structure, loopback socket stack,
- * frame allocator, audit formatting/rules, process fd tables, and
- * kernel misc paths not covered by the Env-level suites.
+ * frame allocator, audit formatting/rules, process fd tables, the
+ * enclave driver's lifetime rules, and kernel misc paths not covered
+ * by the Env-level suites.
  */
 #include <gtest/gtest.h>
 
@@ -265,6 +266,35 @@ TEST(Process, FdTableAllocatesLowestFree)
 }
 
 // ---- Kernel odds and ends inside a VM ----
+
+// ---- Enclave driver ----
+
+TEST(EnclaveDriver, ProcessHostsAnotherEnclaveAfterDestroy)
+{
+    LogConfig::setThreshold(LogLevel::Silent);
+    sdk::VmConfig cfg;
+    cfg.machine.memBytes = 48 * 1024 * 1024;
+    cfg.machine.numVcpus = 1;
+    sdk::VeilVm vm(cfg);
+    auto result = vm.run([&](Kernel &k, Process &p) {
+        sdk::NativeEnv env(k, p);
+        for (int64_t want : {11, 22}) {
+            sdk::EnclaveHost host(env, vm.programs());
+            ASSERT_TRUE(host.create(
+                [want](sdk::Env &) -> int64_t { return want; }));
+            EXPECT_EQ(host.call(), want);
+            EXPECT_EQ(host.fetchMeasurement(), host.expectedMeasurement());
+            EXPECT_EQ(host.destroy(), 0);
+        }
+        // A live enclave still excludes a second one.
+        sdk::EnclaveHost live(env, vm.programs());
+        ASSERT_TRUE(live.create([](sdk::Env &) -> int64_t { return 0; }));
+        VeilEnclaveCreateArgs args;
+        EXPECT_EQ(k.enclaveCreate(p, args), -kEPERM);
+        EXPECT_EQ(live.destroy(), 0);
+    });
+    ASSERT_TRUE(result.terminated) << vm.machine().haltInfo().reason;
+}
 
 TEST(KernelMisc, ConsoleCapturesBootAndWrites)
 {
