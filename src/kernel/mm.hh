@@ -41,6 +41,7 @@ class FrameAllocator
     /** Toggle sharded locking. Call only while no other thread is
      *  using the allocator. */
     void setMulticore(bool on);
+    bool multicore() const { return mt_; }
 
     /**
      * Recoverable allocation: std::nullopt when every free list, the

@@ -8,6 +8,7 @@
 #ifndef VEIL_VEIL_SERVICES_DISPATCHER_HH_
 #define VEIL_VEIL_SERVICES_DISPATCHER_HH_
 
+#include "base/stat_counter.hh"
 #include "veil/services/enc.hh"
 #include "veil/services/kci.hh"
 #include "veil/services/log.hh"
@@ -50,8 +51,9 @@ class ServiceDispatcher
     KciService kci_;
     EncService enc_;
     LogService log_;
-    uint64_t served_ = 0;
-    uint64_t ringOps_ = 0;
+    // Bumped by every replica VCPU's srvLoop (relaxed-atomic).
+    base::StatCounter served_;
+    base::StatCounter ringOps_;
 };
 
 } // namespace veil::core

@@ -294,6 +294,21 @@ TEST(FleetSched, MulticoreWorkersCompleteTheFleet)
     EXPECT_EQ(s.callsCompleted, expected_calls);
 }
 
+TEST(FleetSched, MulticoreKernelStripesItsFrameAllocator)
+{
+    // Fleet workers allocate frames from several host threads at once;
+    // the single-threaded free list would hand one frame out twice.
+    VeilVm mt(fleetVmConfig(2, /*host_threads=*/2));
+    bool striped = false;
+    mt.run([&](Kernel &k, Process &) { striped = k.frames().multicore(); });
+    EXPECT_TRUE(striped);
+
+    VeilVm st(fleetVmConfig(2));
+    striped = true;
+    st.run([&](Kernel &k, Process &) { striped = k.frames().multicore(); });
+    EXPECT_FALSE(striped);
+}
+
 TEST(FleetEvict, FrameBudgetEvictsAndSessionsStillComplete)
 {
     VeilVm vm(fleetVmConfig(2));
